@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       core::detectConflicts(prob);
       obs::Collector stats;
       const core::Assignment a =
-          solver.solve(core::PanelKernel::compile(std::move(prob)), nullptr,
+          solver.solve(core::PanelKernel::compile(prob), nullptr,
                        &stats);
       iters += stats.counter(obs::names::kLrIterations);
       // Pre-repair violations: best_violations of the last lr.iter sample

@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
     if (prob.pins.size() > maxPins) break;
     if (prob.pins.empty()) continue;
 
-    const core::IlpBuild clique = core::buildIlpModel(prob, false);
-    const core::IlpBuild pair = core::buildIlpModel(prob, true);
+    const core::PanelKernel kernel = core::PanelKernel::compile(prob);
+    const core::IlpBuild clique = core::buildIlpModel(kernel, false);
+    const core::IlpBuild pair = core::buildIlpModel(kernel, true);
 
     ilp::IlpOptions opts;
-    opts.lp.implicitUnitBounds = true;
 
     auto t0 = bench::Clock::now();
     opts.deadline = support::Deadline::after(cap);

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     if (pins == 0) continue;
 
     const core::PanelKernel kernel =
-        core::PanelKernel::compile(std::move(prob));
+        core::PanelKernel::compile(prob);
 
     const core::LrSolver lrSolver{{}};
     auto t0 = bench::Clock::now();

@@ -1,11 +1,11 @@
 /// \file bench_lp_backend.cpp
-/// LP engine micro-bench for the `ilp::LpBackend` seam: times the generic
-/// branch & bound over the paper's Formula-(1) panel models under the three
-/// configurations the seam exposes — the dense two-phase reference engine,
-/// the revised simplex solved cold at every node, and the revised simplex
-/// warm-started from each parent basis (the default). The headline number
-/// is the warm/cold pivot ratio: warm starting must cut total simplex
-/// iterations roughly in half or better on these instances.
+/// LP engine micro-bench for the `ilp::LpBackend` interface: times the
+/// generic branch & bound over the paper's Formula-(1) panel models under
+/// three configurations — the dense two-phase reference engine (the test
+/// tree's LP oracle), the revised simplex solved cold at every node, and the
+/// revised simplex warm-started from each parent basis (the default). The
+/// headline number is the warm/cold pivot ratio: warm starting must cut
+/// total simplex iterations roughly in half or better on these instances.
 ///
 /// Two instance families:
 ///   1. Formula-(1) models from suite panels (pairwise conflict encoding).
@@ -27,6 +27,7 @@
 #include "core/interval_gen.h"
 #include "db/panel.h"
 #include "ilp/branch_and_bound.h"
+#include "lp_oracle/simplex.h"
 #include "obs/names.h"
 
 namespace {
@@ -36,15 +37,21 @@ struct EngineRun {
   double sec = 0.0;
 };
 
-EngineRun runEngine(const cpr::ilp::Model& m, const char* backend,
-                    bool warm, double cap) {
+/// Times one search: over the dense oracle when `dense`, else over the
+/// production revised engine, warm-started when `warm`.
+EngineRun runEngine(const cpr::ilp::Model& m, bool dense, bool warm,
+                    double cap) {
   cpr::ilp::IlpOptions opts;
-  opts.lp.backend = backend;
   opts.lp.warmStart = warm;
   opts.deadline = cpr::support::Deadline::after(cap);
   const auto t0 = cpr::bench::Clock::now();
   EngineRun out;
-  out.res = cpr::ilp::solveBinaryIlp(m, opts);
+  if (dense) {
+    cpr::ilp::DenseSimplexBackend engine;
+    out.res = cpr::ilp::solveBinaryIlp(m, opts, engine);
+  } else {
+    out.res = cpr::ilp::solveBinaryIlp(m, opts);
+  }
   out.sec = cpr::bench::seconds(t0, cpr::bench::Clock::now());
   return out;
 }
@@ -131,10 +138,11 @@ int main(int argc, char** argv) {
     if (prob.pins.size() > maxPins) break;
     if (prob.pins.empty()) continue;
 
-    const core::IlpBuild build = core::buildIlpModel(prob, true);
-    const EngineRun dense = runEngine(build.model, "dense", false, cap);
-    const EngineRun cold = runEngine(build.model, "revised", false, cap);
-    const EngineRun warm = runEngine(build.model, "revised", true, cap);
+    const core::IlpBuild build =
+        core::buildIlpModel(core::PanelKernel::compile(prob), true);
+    const EngineRun dense = runEngine(build.model, true, false, cap);
+    const EngineRun cold = runEngine(build.model, false, false, cap);
+    const EngineRun warm = runEngine(build.model, false, true, cap);
 
     printRow(static_cast<long>(prob.pins.size()),
              build.model.numConstraints(), dense, cold, warm);
@@ -154,9 +162,9 @@ int main(int argc, char** argv) {
   long totalWarm = 0;
   for (int n = 10; n <= 22; n += 4) {
     const ilp::Model m = conflictKnapsack(n);
-    const EngineRun dense = runEngine(m, "dense", false, cap);
-    const EngineRun cold = runEngine(m, "revised", false, cap);
-    const EngineRun warm = runEngine(m, "revised", true, cap);
+    const EngineRun dense = runEngine(m, true, false, cap);
+    const EngineRun cold = runEngine(m, false, false, cap);
+    const EngineRun warm = runEngine(m, false, true, cap);
     totalCold += cold.res.lpPivots;
     totalWarm += warm.res.lpPivots;
 

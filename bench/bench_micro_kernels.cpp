@@ -78,7 +78,7 @@ void BM_PanelCompile(benchmark::State& state) {
   const db::Design d = benchDesign();
   const core::Problem base = benchProblem(d);
   for (auto _ : state) {
-    const core::PanelKernel k = core::PanelKernel::compile(core::Problem(base));
+    const core::PanelKernel k = core::PanelKernel::compile(base);
     benchmark::DoNotOptimize(k.footprintBytes());
   }
 }
@@ -108,7 +108,7 @@ void BM_ExactSolvePanel(benchmark::State& state) {
   const db::Design d = gen::generate(o);
   core::Problem p = core::buildProblem(d, db::extractPanel(d, 0), {});
   core::detectConflicts(p);
-  const core::PanelKernel k = core::PanelKernel::compile(std::move(p));
+  const core::PanelKernel k = core::PanelKernel::compile(p);
   const core::ExactSolver solver;
   core::PanelScratch scratch;
   long nodes = 0;

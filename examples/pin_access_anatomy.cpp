@@ -63,8 +63,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n== solving the weighted interval assignment ==\n");
   obs::Collector stats;
+  const core::PanelKernel kernel = core::PanelKernel::compile(p);
   const core::LrSolver lrSolver{{}};
-  const core::Assignment lr = lrSolver.solve(p, &stats);
+  const core::Assignment lr = lrSolver.solve(kernel, nullptr, &stats);
   std::printf("%-5s (Algorithm 2): objective %.3f after %ld iterations\n",
               lrSolver.name().data(), lr.objective,
               stats.counter(obs::names::kLrIterations));
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   core::ExactOptions eo;
   eo.deadline = support::Deadline::after(10.0);
   const core::ExactSolver exactSolver{eo};
-  const core::Assignment exact = exactSolver.solve(p, &stats);
+  const core::Assignment exact = exactSolver.solve(kernel, nullptr, &stats);
   std::printf("%-5s (ILP B&B)   : objective %.3f, %ld nodes, %s\n",
               exactSolver.name().data(), exact.objective,
               stats.counter(obs::names::kExactNodes),

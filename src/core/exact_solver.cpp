@@ -368,12 +368,6 @@ std::size_t ExactScratch::footprintBytes() const {
          bytes(bestAssign) + bytes(selFlag) + lr.footprintBytes();
 }
 
-Assignment solveExact(const Problem& p, const ExactOptions& opts,
-                      ExactStats* stats, obs::Collector* obs) {
-  return solveExact(PanelKernel::compile(Problem(p)), opts, stats, obs,
-                    nullptr);
-}
-
 Assignment solveExact(const PanelKernel& k, const ExactOptions& opts,
                       ExactStats* stats, obs::Collector* obs,
                       ExactScratch* scratch, support::Deadline deadline) {

@@ -15,9 +15,8 @@
 /// set (or an inconsistently-chosen shared interval) to 1 or 0 and
 /// propagates through the equality and conflict rows.
 ///
-/// The hot path consumes a compiled `PanelKernel` and an optional
-/// `ExactScratch` arena (trail, stamps, node pools, root-dual buffers); the
-/// `Problem` overload compiles a kernel internally.
+/// The solver consumes a compiled `PanelKernel` and an optional
+/// `ExactScratch` arena (trail, stamps, node pools, root-dual buffers).
 ///
 /// The generic LP-based branch & bound in `ilp/` solves the same model via
 /// `buildIlpModel` (ilp_builder.h); tests cross-check the two and a brute
@@ -113,11 +112,5 @@ struct ExactScratch {
                                     obs::Collector* obs = nullptr,
                                     ExactScratch* scratch = nullptr,
                                     support::Deadline deadline = {}) CPR_HOT;
-
-/// Convenience overload: compiles `p` into a temporary kernel and solves.
-[[nodiscard]] Assignment solveExact(const Problem& p,
-                                    const ExactOptions& opts = {},
-                                    ExactStats* stats = nullptr,
-                                    obs::Collector* obs = nullptr);
 
 }  // namespace cpr::core

@@ -4,13 +4,10 @@
 /// degree * f(I); one equality row (1b) per pin; one <=1 row (1c) per
 /// conflict set (the linear-size alternative to quadratic pairwise rows).
 ///
-/// The primary overloads consume a compiled `PanelKernel` (flat CSR arrays);
-/// the `Problem` overloads compile a kernel internally and are kept for the
-/// ablation benches and tests that start from a nested instance.
+/// Both directions work on a compiled `PanelKernel` (flat CSR arrays).
 #pragma once
 
 #include "core/panel_kernel.h"
-#include "core/problem.h"
 #include "ilp/model.h"
 
 namespace cpr::core {
@@ -29,17 +26,8 @@ struct IlpBuild {
 [[nodiscard]] IlpBuild buildIlpModel(const PanelKernel& k,
                                      bool pairwiseConflicts = false);
 
-/// Convenience overload: compiles `p` into a temporary kernel and builds.
-[[nodiscard]] IlpBuild buildIlpModel(const Problem& p,
-                                     bool pairwiseConflicts = false);
-
 /// Decodes a 0/1 model solution back into a per-pin assignment.
 [[nodiscard]] Assignment decodeIlpSolution(const PanelKernel& k,
-                                           const IlpBuild& build,
-                                           const std::vector<double>& x);
-
-/// Convenience overload of the above for nested instances.
-[[nodiscard]] Assignment decodeIlpSolution(const Problem& p,
                                            const IlpBuild& build,
                                            const std::vector<double>& x);
 

@@ -81,9 +81,8 @@ std::size_t LrScratch::footprintBytes() const {
          bytes(freedWithin) + bytes(members);
 }
 
-std::vector<Index> maxGains(const Problem& p,
+std::vector<Index> maxGains(const PanelKernel& k,
                             const std::vector<double>& gains) {
-  const PanelKernel k = PanelKernel::compile(Problem(p));
   std::vector<LrSortKey> keys(k.numIntervals());
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = LrSortKey{gains[i], k.degreeOf(CandIdx{i}), CandIdx{i}};
@@ -94,11 +93,6 @@ std::vector<Index> maxGains(const Problem& p,
   out.reserve(sel.size());
   for (const CandIdx i : sel) out.push_back(i.value());
   return out;
-}
-
-Assignment solveLr(const Problem& p, const LrOptions& opts, LrStats* stats,
-                   obs::Collector* obs) {
-  return solveLr(PanelKernel::compile(Problem(p)), opts, stats, obs, nullptr);
 }
 
 Assignment solveLr(const PanelKernel& k, const LrOptions& opts, LrStats* stats,

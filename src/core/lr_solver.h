@@ -9,9 +9,9 @@
 /// violated conflict sets) is kept, and remaining conflicts are removed by
 /// shrinking intervals to their pins' minimum intervals.
 ///
-/// The hot path consumes a compiled `PanelKernel` (flat CSR arrays) and an
-/// optional `LrScratch` arena of reusable buffers; the `Problem` overload is
-/// a convenience that compiles a kernel internally.
+/// The solver consumes a compiled `PanelKernel` (flat CSR arrays) and an
+/// optional `LrScratch` arena of reusable buffers; callers holding a nested
+/// `Problem` compile it first.
 #pragma once
 
 #include <vector>
@@ -109,15 +109,10 @@ struct LrScratch {
                                  LrScratch* scratch = nullptr,
                                  support::Deadline deadline = {}) CPR_HOT;
 
-/// Convenience overload: compiles `p` into a temporary kernel and solves.
-[[nodiscard]] Assignment solveLr(const Problem& p, const LrOptions& opts = {},
-                                 LrStats* stats = nullptr,
-                                 obs::Collector* obs = nullptr);
-
 /// One invocation of Algorithm 1's maxGains greedy: selects one interval per
 /// pin maximizing total gain (profit minus penalty), ignoring conflicts.
-/// Exposed for tests and for the exact solver's incumbent heuristic.
-[[nodiscard]] std::vector<Index> maxGains(const Problem& p,
+/// `gains` holds one entry per interval of `k`. Exposed for tests.
+[[nodiscard]] std::vector<Index> maxGains(const PanelKernel& k,
                                           const std::vector<double>& gains);
 
 }  // namespace cpr::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "core/conflict.h"
 #include "db/panel.h"
@@ -13,11 +14,14 @@ namespace cpr::core {
 namespace {
 
 /// Per-panel outcome, merged into the plan after the parallel phase. Holds
-/// the compiled kernel (which owns the moved-in `Problem`) so the merge loop
-/// can read tracks/spans without keeping a second copy of the instance.
+/// only what the merge reads: the panel's assigned routes keyed by design
+/// pin, its objective, and its unassigned-pin count. The kernel and the
+/// assignment die in the worker as soon as the panel finishes, so peak
+/// memory is bounded by the panels in flight, not by the whole design.
 struct PanelOutcome {
-  PanelKernel kernel;
-  Assignment assignment;
+  std::vector<std::pair<Index, PinRoute>> routes;
+  double objective = 0.0;
+  long unassigned = 0;
   obs::Collector stats;
 };
 
@@ -101,6 +105,38 @@ Assignment minimalIntervalAssignment(const PanelKernel& k) {
 /// Which rung of the degradation ladder produced the shipped assignment.
 enum class Rung { Primary, Lr, Greedy, Minimal };
 
+/// Generates, conflict-checks and compiles one panel's instance. The nested
+/// `Problem` lives only inside this call; the kernel keeps none of it.
+PanelKernel compilePanel(const db::Design& design, const db::Panel& panel,
+                         const OptimizerOptions& opts, obs::Collector* obs) {
+  Problem problem;
+  {
+    obs::ScopedTimer t(obs, obs::names::kPaoGenSpan);
+    problem = buildProblem(design, panel, opts.gen, obs);
+    if (opts.profitModel != ProfitModel::SqrtSpan)
+      assignProfits(problem, opts.profitModel);
+  }
+  {
+    obs::ScopedTimer t(obs, obs::names::kPaoConflictSpan);
+    detectConflicts(problem, obs);
+  }
+  obs->add(obs::names::kPaoIntervals,
+           static_cast<long>(problem.intervals.size()));
+  obs->add(obs::names::kPaoConflicts,
+           static_cast<long>(problem.conflicts.size()));
+  obs::ScopedTimer t(obs, obs::names::kPaoCompileSpan);
+  return PanelKernel::compile(problem);
+}
+
+/// The outcome of a panel whose processing threw: every pin unassigned.
+void shipUnassigned(PanelOutcome& out, std::size_t numPins) {
+  out.routes.clear();
+  out.objective = 0.0;
+  out.unassigned = static_cast<long>(numPins);
+}
+
+/// Solves one panel down the degradation ladder and reduces the shipped
+/// assignment to the routes the merge needs.
 PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
                         const OptimizerOptions& opts, const Solver& solver,
                         int panelIndex, PanelScratch& scratch) {
@@ -110,28 +146,12 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
   // Panel boundary: nothing may escape into the worker thread. `trySolve`
   // isolates solver faults below; this outer net catches instance
   // generation / compilation faults and ships an all-unassigned panel.
+  std::size_t numPins = 0;  // all-unassigned size if a fault escapes below
   try {
-    Problem problem;
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoGenSpan);
-      problem = buildProblem(design, panel, opts.gen, obs);
-      if (opts.profitModel != ProfitModel::SqrtSpan)
-        assignProfits(problem, opts.profitModel);
-    }
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoConflictSpan);
-      detectConflicts(problem, obs);
-    }
-    obs->add(obs::names::kPaoIntervals,
-             static_cast<long>(problem.intervals.size()));
-    obs->add(obs::names::kPaoConflicts,
-             static_cast<long>(problem.conflicts.size()));
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoCompileSpan);
-      out.kernel = PanelKernel::compile(std::move(problem));
-    }
+    const PanelKernel kernel = compilePanel(design, panel, opts, obs);
+    numPins = kernel.numPins();
     obs->add(obs::names::kPaoKernelBytes,
-             static_cast<long>(out.kernel.footprintBytes()));
+             static_cast<long>(kernel.footprintBytes()));
 
     // Per-panel budget: a slice of the run deadline, never outliving it.
     const support::Deadline panelDeadline =
@@ -147,13 +167,14 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
         Assignment{}};
     if (!runExpired) {
       obs::ScopedTimer t(obs, obs::names::kPaoSolveSpan);
-      primary = solver.trySolve(out.kernel, &scratch, obs, panelDeadline);
+      primary = solver.trySolve(kernel, &scratch, obs, panelDeadline);
     }
 
+    Assignment a;
     Rung rung = Rung::Primary;
     bool chosen = false;
-    if (usable(out.kernel, primary.value())) {
-      out.assignment = primary.take();
+    if (usable(kernel, primary.value())) {
+      a = primary.take();
       chosen = true;
     } else {
       // Walk the degradation ladder. Every rung below the primary solver is
@@ -163,23 +184,23 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
       obs->add(obs::names::kPaoFallbacks);
       if (!runExpired && solver.name() != "lr") {
         support::Outcome<Assignment> lr = LrSolver(opts.solve.lr)
-            .trySolve(out.kernel, &scratch, obs, panelDeadline);
-        if (usable(out.kernel, lr.value())) {
-          out.assignment = lr.take();
+            .trySolve(kernel, &scratch, obs, panelDeadline);
+        if (usable(kernel, lr.value())) {
+          a = lr.take();
           rung = Rung::Lr;
           chosen = true;
         }
       }
       if (!chosen) {
-        Assignment g = greedyProfitOrder(out.kernel);
-        if (usable(out.kernel, g)) {
-          out.assignment = std::move(g);
+        Assignment g = greedyProfitOrder(kernel);
+        if (usable(kernel, g)) {
+          a = std::move(g);
           rung = Rung::Greedy;
           chosen = true;
         }
       }
       if (!chosen) {
-        out.assignment = minimalIntervalAssignment(out.kernel);
+        a = minimalIntervalAssignment(kernel);
         rung = Rung::Minimal;
       }
     }
@@ -200,18 +221,26 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
         obs->add(obs::names::kPaoPanelDegraded);
       obs->note(obs::names::kPaoPanelStatusNote, primary.status().toString());
     }
+
+    out.objective = a.objective;
+    for (std::size_t j = 0; j < numPins; ++j) {
+      const Index i = a.intervalOfPin[j];
+      if (i == geom::kInvalidIndex) {
+        ++out.unassigned;
+        continue;
+      }
+      out.routes.emplace_back(
+          kernel.designPinOf(PinIdx{j}),
+          PinRoute{kernel.trackOf(CandIdx{i}), kernel.spanOf(CandIdx{i})});
+    }
   } catch (const std::exception& e) {
     out.stats.add(obs::names::kPaoPanelFailed);
     out.stats.note(obs::names::kPaoPanelErrorNote, e.what());
-    out.assignment = Assignment{};
-    out.assignment.intervalOfPin.assign(out.kernel.numPins(),
-                                        geom::kInvalidIndex);
+    shipUnassigned(out, numPins);
   } catch (...) {
     out.stats.add(obs::names::kPaoPanelFailed);
     out.stats.note(obs::names::kPaoPanelErrorNote, "non-standard exception");
-    out.assignment = Assignment{};
-    out.assignment.intervalOfPin.assign(out.kernel.numPins(),
-                                        geom::kInvalidIndex);
+    shipUnassigned(out, numPins);
   }
   return out;
 }
@@ -263,21 +292,12 @@ PinAccessPlan optimizePinAccess(const db::Design& design,
   // Merge in panel order: counters and series come out identical for any
   // thread count (only span wall-times differ run to run).
   for (const PanelOutcome& out : outcomes) {
-    const PanelKernel& kernel = out.kernel;
-    const Assignment& a = out.assignment;
     plan.stats.merge(out.stats);
-    plan.objective += a.objective;
-
-    for (std::size_t j = 0; j < kernel.numPins(); ++j) {
-      const Index designPin = kernel.designPinOf(PinIdx{j});
-      const Index i = a.intervalOfPin[j];
-      if (i == geom::kInvalidIndex) {
-        plan.stats.add(obs::names::kPaoUnassigned);
-        continue;
-      }
-      plan.routes[std::size_t(designPin)] =
-          PinRoute{kernel.trackOf(CandIdx{i}), kernel.spanOf(CandIdx{i})};
-    }
+    plan.objective += out.objective;
+    if (out.unassigned > 0)
+      plan.stats.add(obs::names::kPaoUnassigned, out.unassigned);
+    for (const auto& [designPin, route] : out.routes)
+      plan.routes[std::size_t(designPin)] = route;
   }
   return plan;
 }

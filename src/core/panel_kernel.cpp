@@ -32,10 +32,8 @@ void flatten(std::size_t n, RowOf rowOf, std::vector<Index>& off,
 
 }  // namespace
 
-PanelKernel PanelKernel::compile(Problem&& p) {
+PanelKernel PanelKernel::compile(const Problem& q) {
   PanelKernel k;
-  k.problem_ = std::move(p);
-  const Problem& q = k.problem_;
   const std::size_t nPins = q.pins.size();
   const std::size_t nIv = q.intervals.size();
   const std::size_t nCs = q.conflicts.size();

@@ -6,7 +6,7 @@
 /// but it is a pointer-chasing structure: every solver iteration walks
 /// heap-scattered `std::vector`s and the per-panel cost on large designs is
 /// dominated by allocation and cache misses rather than by the subgradient
-/// math. `compile(Problem&&)` flattens the instance once into contiguous
+/// math. `compile(const Problem&)` flattens the instance once into contiguous
 /// offset + data arrays (compressed sparse rows) plus packed per-interval /
 /// per-conflict columns; all three solvers, the ILP translation, and the
 /// flat `audit` then iterate spans over those arrays.
@@ -17,11 +17,10 @@
 /// ids, so pin/interval/conflict mix-ups fail to compile instead of reading
 /// a wrong-but-in-bounds column.
 ///
-/// Ownership: the kernel takes the `Problem` by value (move it in) and
-/// borrows nothing — every flat array is an owned copy, and the moved-in
-/// problem is retained for cold-path consumers (`problem()`), so a compiled
-/// kernel is self-contained and safe to hand across threads by const
-/// reference.
+/// Ownership: the kernel reads the `Problem` only inside `compile` and
+/// keeps nothing of it — every flat array is an owned copy, so the caller
+/// may destroy the `Problem` right after compiling, and a compiled kernel is
+/// self-contained and safe to hand across threads by const reference.
 #pragma once
 
 #include <cstddef>
@@ -45,10 +44,7 @@ class PanelKernel {
   /// paths they replaced.
   /// CPR_COLD_OK: compilation is per-panel setup that allocates the CSR
   /// arrays by design; the hot solve loops only ever read the result.
-  [[nodiscard]] static PanelKernel compile(Problem&& p) CPR_COLD_OK;
-
-  /// The moved-in instance, for cold paths (reporting, tests, decode).
-  [[nodiscard]] const Problem& problem() const { return problem_; }
+  [[nodiscard]] static PanelKernel compile(const Problem& p) CPR_COLD_OK;
 
   [[nodiscard]] std::size_t numPins() const { return pinCandOff_.empty() ? 0 : pinCandOff_.size() - 1; }
   [[nodiscard]] std::size_t numIntervals() const { return track_.size(); }
@@ -109,8 +105,9 @@ class PanelKernel {
     return confLm_[m.idx()];
   }
 
-  /// Bytes held by the flat arrays (size-based, so the value is
-  /// deterministic for a given instance regardless of allocator growth).
+  /// Bytes held by the flat arrays — the kernel's whole footprint (size-based,
+  /// so the value is deterministic for a given instance regardless of
+  /// allocator growth).
   [[nodiscard]] std::size_t footprintBytes() const;
 
  private:
@@ -127,7 +124,6 @@ class PanelKernel {
     return {data.begin() + off[k], data.begin() + off[k + 1]};
   }
 
-  Problem problem_;
   // CSR adjacencies (offsets have size n+1; data is the flat concatenation).
   std::vector<Index> pinCandOff_;
   std::vector<CandIdx> pinCand_;   ///< pin -> candidate intervals

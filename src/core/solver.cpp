@@ -8,10 +8,6 @@
 
 namespace cpr::core {
 
-Assignment Solver::solve(const Problem& p, obs::Collector* obs) const {
-  return solve(PanelKernel::compile(Problem(p)), nullptr, obs);
-}
-
 support::Outcome<Assignment> Solver::trySolve(const PanelKernel& k,
                                               PanelScratch* scratch,
                                               obs::Collector* obs,
@@ -70,7 +66,6 @@ Assignment IlpSolver::solve(const PanelKernel& k, PanelScratch* /*scratch*/,
   obs::add(obs, obs::names::kIlpPivots, res.lpPivots);
   obs::add(obs, obs::names::kIlpWarmSolves, res.lpWarmSolves);
   obs::add(obs, obs::names::kIlpColdSolves, res.lpColdSolves);
-  obs::note(obs, obs::names::kIlpBackendNote, res.backend);
   if (res.status != ilp::IlpStatus::Optimal)
     obs::add(obs, obs::names::kIlpNotProved);
   if (res.status == ilp::IlpStatus::TimeLimit)

@@ -10,9 +10,9 @@
 /// after construction and safe to share across panel-solving threads; all
 /// mutable per-solve state lives in the caller-owned `PanelScratch` arena.
 ///
-/// The primary entry point consumes a compiled `PanelKernel` (see
-/// panel_kernel.h) plus an optional scratch arena; the `Problem` overload is
-/// a convenience that compiles a kernel internally.
+/// Every entry point consumes a compiled `PanelKernel` (see panel_kernel.h)
+/// plus an optional scratch arena; callers holding a nested `Problem`
+/// compile it first.
 ///
 /// Every `solve` accepts an optional `obs::Collector` into which the solver
 /// reports its canonical counters and per-iteration trace series (see
@@ -72,9 +72,6 @@ class Solver {
                                          obs::Collector* obs = nullptr,
                                          support::Deadline deadline = {})
       const = 0;
-  /// Convenience: compiles `p` into a temporary kernel and solves.
-  [[nodiscard]] Assignment solve(const Problem& p,
-                                 obs::Collector* obs = nullptr) const;
 
   /// Fault-isolating entry point used at the panel boundary: never throws.
   /// Catches every exception out of `solve` (mapped to StatusCode::Failed)
@@ -95,7 +92,6 @@ class Solver {
 /// Algorithm 2 behind the interface; thin wrapper over `solveLr`.
 class LrSolver final : public Solver {
  public:
-  using Solver::solve;
   explicit LrSolver(LrOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "lr"; }
   [[nodiscard]] Assignment solve(const PanelKernel& k,
@@ -113,7 +109,6 @@ class LrSolver final : public Solver {
 /// `solveExact`.
 class ExactSolver final : public Solver {
  public:
-  using Solver::solve;
   explicit ExactSolver(ExactOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "exact"; }
   [[nodiscard]] Assignment solve(const PanelKernel& k,
@@ -131,7 +126,6 @@ class ExactSolver final : public Solver {
 /// it with the generic LP-based branch & bound, and decodes the 0/1 solution.
 class IlpSolver final : public Solver {
  public:
-  using Solver::solve;
   explicit IlpSolver(ilp::IlpOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "ilp"; }
   // CPR_COLD_OK: the generic translation path exists as a cross-checking
@@ -151,8 +145,7 @@ class IlpSolver final : public Solver {
 /// Everything `makeSolver` needs, in one bundle: the method plus each
 /// engine's options. This is THE options path into the solver layer — the
 /// optimizer embeds one, the CLI and benches fill one, and per-engine knobs
-/// (including the ILP path's `ilp.lp.backend` LP-engine name) are reached
-/// through it instead of loose factory parameters.
+/// are reached through it instead of loose factory parameters.
 struct SolverOptions {
   Method method = Method::Lr;
   LrOptions lr;

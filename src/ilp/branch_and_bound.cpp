@@ -3,20 +3,21 @@
 #include <cmath>
 #include <limits>
 
+#include "ilp/revised_simplex.h"
+
 namespace cpr::ilp {
 
 namespace {
 
 struct Search {
-  Search(const Model& m, const IlpOptions& o)
-      : model(m), opts(o), backend(makeLpBackend(o.lp.backend)) {
-    backend->bind(model, opts.lp);
-    result.backend = std::string(backend->name());
+  Search(const Model& m, const IlpOptions& o, LpBackend& engine)
+      : model(m), opts(o), backend(engine) {
+    backend.bind(model, opts.lp);
   }
 
   const Model& model;
   const IlpOptions& opts;
-  std::unique_ptr<LpBackend> backend;
+  LpBackend& backend;
   IlpResult result;
   bool haveIncumbent = false;
   bool truncated = false;
@@ -43,7 +44,7 @@ struct Search {
 
     LpBasis basis;
     const LpResult lp =
-        backend->solve(&fix, &parent, &basis, opts.deadline);
+        backend.solve(&fix, &parent, &basis, opts.deadline);
     result.lpPivots += lp.pivots;
     if (lp.warmStarted) ++result.lpWarmSolves;
     else ++result.lpColdSolves;
@@ -99,7 +100,13 @@ struct Search {
 }  // namespace
 
 IlpResult solveBinaryIlp(const Model& m, const IlpOptions& opts) {
-  Search search(m, opts);
+  RevisedSimplexBackend engine;
+  return solveBinaryIlp(m, opts, engine);
+}
+
+IlpResult solveBinaryIlp(const Model& m, const IlpOptions& opts,
+                         LpBackend& engine) {
+  Search search(m, opts, engine);
   Fixing fix(static_cast<std::size_t>(m.numVars()), -1);
   const LpBasis root;  // empty: the root relaxation always cold-starts
   search.explore(fix, root);

@@ -1,29 +1,24 @@
 /// \file lp_backend.h
-/// The LP engine seam: every LP relaxation solve in the repository goes
-/// through the `LpBackend` virtual interface, so solver engines evolve
-/// without touching callers (`branch_and_bound`, `core::IlpSolver`, benches).
+/// The LP engine interface: every LP relaxation solve goes through the
+/// `LpBackend` virtual interface, so the branch & bound search never depends
+/// on an engine's internals.
 ///
-/// Two engines register with `makeLpBackend`:
-///   "dense"    the original two-phase dense-tableau primal simplex
-///              (simplex.h) — the reference oracle; ignores warm starts;
-///   "revised"  revised simplex on sparse columns with native variable
-///              bounds, Bland's-rule anti-cycling, bounded refactorization,
-///              and dual-simplex re-solves from a caller-supplied basis
-///              (revised_simplex.h) — the default engine.
+/// The production engine is the revised simplex on sparse columns with
+/// native variable bounds, Bland's-rule anti-cycling, bounded
+/// refactorization, and dual-simplex re-solves from a caller-supplied basis
+/// (revised_simplex.h); `solveBinaryIlp` builds it directly. The test tree
+/// holds a dense two-phase tableau engine behind the same interface as the
+/// reference oracle the revised engine is cross-checked against.
 ///
-/// Engine selection is by name through `LpOptions::backend` — callers never
-/// name a concrete type. A backend instance is *stateful*: `bind` compiles
-/// one model into the engine's internal form, after which `solve` may be
-/// called many times with different fixings (the branch & bound node loop),
-/// each optionally warm-started from the basis a previous solve returned.
-/// Instances are cheap, single-threaded, and owned by one search; concurrent
-/// panel solves each create their own.
+/// A backend instance is *stateful*: `bind` compiles one model into the
+/// engine's internal form, after which `solve` may be called many times
+/// with different fixings (the branch & bound node loop), each optionally
+/// warm-started from the basis a previous solve returned. Instances are
+/// cheap, single-threaded, and owned by one search; concurrent panel solves
+/// each create their own.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ilp/model.h"
@@ -49,15 +44,8 @@ struct LpResult {
 };
 
 struct LpOptions {
-  /// Engine name for `makeLpBackend`; see `lpBackendNames()`.
-  std::string backend = "revised";
   long maxIterations = tol::kDefaultLpIterationLimit;
   double eps = tol::kPivotEps;
-  /// Dense engine only: skip the automatic `x_i <= 1` rows (valid when every
-  /// variable is covered by an equality row with unit coefficients, as in
-  /// the pin access set-partitioning model). The revised engine enforces
-  /// bounds natively and ignores this.
-  bool implicitUnitBounds = false;
   /// Allow warm-started re-solves from a parent basis (branch & bound).
   /// Disabled only by the cold-vs-warm benches and equivalence tests.
   bool warmStart = true;
@@ -83,8 +71,6 @@ class LpBackend {
  public:
   virtual ~LpBackend() = default;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
   /// Compiles `m` into the engine's internal form. Must be called before
   /// `solve`; the model must outlive the binding. Re-binding replaces the
   /// previous model and invalidates any basis snapshots taken from it.
@@ -105,12 +91,5 @@ class LpBackend {
                                        LpBasis* basisOut = nullptr,
                                        support::Deadline deadline = {}) = 0;
 };
-
-/// Factory: engine instance by registered name ("dense", "revised").
-/// Throws std::invalid_argument for an unknown name.
-[[nodiscard]] std::unique_ptr<LpBackend> makeLpBackend(std::string_view name);
-
-/// Registered engine names, in preference order (first = default).
-[[nodiscard]] const std::vector<std::string_view>& lpBackendNames();
 
 }  // namespace cpr::ilp

@@ -1,9 +1,10 @@
 /// \file revised_simplex.h
-/// Revised simplex on sparse columns — the "revised" engine behind the
-/// `LpBackend` seam and the default LP solver.
+/// Revised simplex on sparse columns — the LP engine behind the generic
+/// branch & bound (`solveBinaryIlp`).
 ///
-/// Differences from the dense oracle (simplex.h) that make it the scale
-/// engine for the ILP path:
+/// Differences from the dense tableau oracle in the test tree
+/// (tests/lp_oracle/simplex.h) that make it the scale engine for the ILP
+/// path:
 ///
 ///   * Variable bounds are native. Binaries live in [0,1] (or [v,v] when
 ///     fixed) without materialized `x_i <= 1` rows, so the working basis has
@@ -34,7 +35,6 @@ namespace cpr::ilp {
 
 class RevisedSimplexBackend final : public LpBackend {
  public:
-  [[nodiscard]] std::string_view name() const override { return "revised"; }
   void bind(const Model& m, const LpOptions& opts) override;
   [[nodiscard]] LpResult solve(const Fixing* fix, const LpBasis* warm,
                                LpBasis* basisOut,

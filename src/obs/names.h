@@ -42,11 +42,9 @@ inline constexpr std::string_view kIlpNotProved = "ilp.not_proved";
 inline constexpr std::string_view kIlpTimeout = "ilp.timeout";
 /// Node relaxations warm-started from the parent's optimal basis (dual
 /// simplex re-solve) vs. solved from scratch; warm/cold split measures how
-/// often the LpBackend seam's basis hand-off actually engages.
+/// often the revised engine's basis hand-off actually engages.
 inline constexpr std::string_view kIlpWarmSolves = "ilp.lp.warm_solves";
 inline constexpr std::string_view kIlpColdSolves = "ilp.lp.cold_solves";
-/// Note: name() of the LP engine behind the generic B&B (lp_backend.h).
-inline constexpr std::string_view kIlpBackendNote = "ilp.backend";
 // Design-level optimizer (panel fan-out).
 inline constexpr std::string_view kPaoPanels = "pao.panels";
 inline constexpr std::string_view kPaoIntervals = "pao.intervals.generated";
@@ -191,13 +189,13 @@ inline constexpr std::string_view kServeEvRejected = "serve.job.rejected";
 /// are unique and follow the `^[a-z]+(\.[a-z_]+)+$` grammar, which is what
 /// catches a typo'd or duplicated metric name at test time rather than in a
 /// dashboard.
-inline constexpr std::array<std::string_view, 85> kAll = {
+inline constexpr std::array<std::string_view, 84> kAll = {
     kGenIntervals,         kGenShared,           kGenBlockedPins,
     kConflictSets,         kLrIterations,        kLrRemovalRounds,
     kLrReexpandUpgrades,   kLrTimeout,           kExactNodes,
     kExactNotProved,       kExactTimeout,        kIlpNodes,
     kIlpPivots,            kIlpNotProved,        kIlpTimeout,
-    kIlpWarmSolves,        kIlpColdSolves,       kIlpBackendNote,
+    kIlpWarmSolves,        kIlpColdSolves,
     kPaoPanels,            kPaoIntervals,        kPaoConflicts,
     kPaoUnassigned,        kPaoFallbacks,        kPaoPanelFailed,
     kPaoPanelDegraded,     kPaoRungPrimary,      kPaoRungLr,

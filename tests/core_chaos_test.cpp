@@ -45,7 +45,6 @@ int faultOf(int panel) {
 /// panels delegate to the real LR solver.
 class ChaosSolver : public Solver {
  public:
-  using Solver::solve;
   [[nodiscard]] std::string_view name() const override { return "chaos"; }
   [[nodiscard]] Assignment solve(const PanelKernel& k, PanelScratch* scratch,
                                  obs::Collector* obs,
@@ -206,11 +205,10 @@ TEST(Chaos, TrySolveClassifiesFaults) {
   ASSERT_FALSE(panels.empty());
   Problem p = buildProblem(d, panels[0], {});
   detectConflicts(p);
-  const PanelKernel k = PanelKernel::compile(std::move(p));
+  const PanelKernel k = PanelKernel::compile(p);
   ASSERT_GT(k.numPins(), 0u);
 
   struct Throwing final : Solver {
-    using Solver::solve;
     [[nodiscard]] std::string_view name() const override { return "boom"; }
     [[nodiscard]] Assignment solve(const PanelKernel&, PanelScratch*,
                                    obs::Collector*,
@@ -224,7 +222,6 @@ TEST(Chaos, TrySolveClassifiesFaults) {
   EXPECT_TRUE(failed.status().isFailure());
 
   struct Empty final : Solver {
-    using Solver::solve;
     [[nodiscard]] std::string_view name() const override { return "empty"; }
     [[nodiscard]] Assignment solve(const PanelKernel& kk, PanelScratch*,
                                    obs::Collector*,

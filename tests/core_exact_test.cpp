@@ -22,7 +22,7 @@ TEST(ExactSolver, MatchesBruteForceOnTinyInstances) {
     if (!ref) continue;
     ++checked;
     ExactStats stats;
-    const Assignment a = solveExact(p, {}, &stats);
+    const Assignment a = solveExact(tu::kernelOf(p), {}, &stats);
     EXPECT_TRUE(a.provedOptimal) << "seed " << seed;
     EXPECT_NEAR(a.objective, *ref, 1e-6) << "seed " << seed;
     EXPECT_EQ(a.violations, 0) << "seed " << seed;
@@ -36,16 +36,14 @@ TEST(ExactSolver, MatchesGenericLpBranchAndBound) {
     const db::Design d = tu::tinyDesign(seed, 28, 0.35);
     GenOptions g;
     g.maxExtent = 6;
-    const Problem p = tu::panelProblem(d, g);
-    const Assignment a = solveExact(p);
+    const PanelKernel k = tu::kernelOf(tu::panelProblem(d, g));
+    const Assignment a = solveExact(k);
     ASSERT_TRUE(a.provedOptimal);
 
-    const IlpBuild build = buildIlpModel(p);
-    ilp::IlpOptions opts;
-    opts.lp.implicitUnitBounds = true;  // every var sits in a pin equality
-    const ilp::IlpResult r = ilp::solveBinaryIlp(build.model, opts);
+    const IlpBuild build = buildIlpModel(k);
+    const ilp::IlpResult r = ilp::solveBinaryIlp(build.model);
     ASSERT_EQ(r.status, ilp::IlpStatus::Optimal) << "seed " << seed;
-    const Assignment viaIlp = decodeIlpSolution(p, build, r.x);
+    const Assignment viaIlp = decodeIlpSolution(k, build, r.x);
     EXPECT_NEAR(a.objective, viaIlp.objective, 1e-6) << "seed " << seed;
   }
 }
@@ -54,13 +52,11 @@ TEST(ExactSolver, PairwiseEncodingGivesSameOptimum) {
   const db::Design d = tu::tinyDesign(3, 24, 0.35);
   GenOptions g;
   g.maxExtent = 5;
-  const Problem p = tu::panelProblem(d, g);
-  const IlpBuild cliqueEnc = buildIlpModel(p, /*pairwiseConflicts=*/false);
-  const IlpBuild pairEnc = buildIlpModel(p, /*pairwiseConflicts=*/true);
-  ilp::IlpOptions opts;
-  opts.lp.implicitUnitBounds = true;
-  const ilp::IlpResult a = ilp::solveBinaryIlp(cliqueEnc.model, opts);
-  const ilp::IlpResult b = ilp::solveBinaryIlp(pairEnc.model, opts);
+  const PanelKernel k = tu::kernelOf(tu::panelProblem(d, g));
+  const IlpBuild cliqueEnc = buildIlpModel(k, /*pairwiseConflicts=*/false);
+  const IlpBuild pairEnc = buildIlpModel(k, /*pairwiseConflicts=*/true);
+  const ilp::IlpResult a = ilp::solveBinaryIlp(cliqueEnc.model);
+  const ilp::IlpResult b = ilp::solveBinaryIlp(pairEnc.model);
   ASSERT_EQ(a.status, ilp::IlpStatus::Optimal);
   ASSERT_EQ(b.status, ilp::IlpStatus::Optimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-6);
@@ -72,8 +68,8 @@ TEST(ExactSolver, DominatesLr) {
   for (std::uint64_t seed = 50; seed < 60; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 48, 0.45);
     const Problem p = tu::panelProblem(d);
-    const Assignment lr = solveLr(p);
-    const Assignment exact = solveExact(p);
+    const Assignment lr = solveLr(tu::kernelOf(p));
+    const Assignment exact = solveExact(tu::kernelOf(p));
     ASSERT_TRUE(exact.provedOptimal) << "seed " << seed;
     EXPECT_LE(lr.objective, exact.objective + 1e-6) << "seed " << seed;
     EXPECT_EQ(audit(p, exact).overlapsBetweenNets, 0);
@@ -94,7 +90,7 @@ TEST(ExactSolver, NodeLimitReturnsIncumbentUnproven) {
   ExactOptions opts;
   opts.maxNodes = 1;
   ExactStats stats;
-  const Assignment a = solveExact(p, opts, &stats);
+  const Assignment a = solveExact(tu::kernelOf(p), opts, &stats);
   EXPECT_FALSE(a.provedOptimal);
   // Incumbent comes from the LR seed and is still legal.
   EXPECT_EQ(a.violations, 0);
@@ -105,7 +101,7 @@ TEST(ExactSolver, AssignmentIsAlwaysLegal) {
   for (std::uint64_t seed = 70; seed < 80; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 40, 0.5);
     const Problem p = tu::panelProblem(d);
-    const Assignment a = solveExact(p);
+    const Assignment a = solveExact(tu::kernelOf(p));
     const AssignmentAudit audit_ = audit(p, a);
     EXPECT_EQ(a.violations, 0);
     EXPECT_EQ(audit_.overlapsBetweenNets, 0);

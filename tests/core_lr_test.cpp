@@ -22,7 +22,7 @@ TEST(MaxGains, PicksHighestGainPerPin) {
   p.intervals[1].pins = {0};
   p.intervals[2].pins = {1};
   p.profit = {5.0, 2.0, 3.0};
-  const std::vector<Index> sel = maxGains(p, {5.0, 2.0, 3.0});
+  const std::vector<Index> sel = maxGains(tu::kernelOf(p), {5.0, 2.0, 3.0});
   ASSERT_EQ(sel.size(), 2u);
   EXPECT_NE(std::find(sel.begin(), sel.end(), 0), sel.end());
   EXPECT_NE(std::find(sel.begin(), sel.end(), 2), sel.end());
@@ -42,7 +42,7 @@ TEST(MaxGains, SharedIntervalAssignsAllItsPins) {
   p.intervals[2].pins = {0, 1};
   p.profit = {1.0, 1.0, 1.5};
   // gains use weight = degree * profit → shared gain 3.0.
-  const std::vector<Index> sel = maxGains(p, {1.0, 1.0, 3.0});
+  const std::vector<Index> sel = maxGains(tu::kernelOf(p), {1.0, 1.0, 3.0});
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 2);
 }
@@ -60,7 +60,7 @@ TEST(MaxGains, SkipsIntervalWhosePinIsTaken) {
   p.intervals[1].pins = {0};
   p.intervals[2].pins = {1};
   p.profit = {9.0, 8.0, 1.0};
-  const std::vector<Index> sel = maxGains(p, {9.0, 8.0, 1.0});
+  const std::vector<Index> sel = maxGains(tu::kernelOf(p), {9.0, 8.0, 1.0});
   ASSERT_EQ(sel.size(), 2u);
   EXPECT_EQ(sel[0], 0);
   EXPECT_EQ(sel[1], 2);
@@ -70,7 +70,7 @@ TEST(LrSolver, ConflictFreeOnGeneratedPanels) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 40, 0.4);
     const Problem p = tu::panelProblem(d);
-    const Assignment a = solveLr(p);
+    const Assignment a = solveLr(tu::kernelOf(p));
     EXPECT_EQ(a.violations, 0) << "seed " << seed;
     const AssignmentAudit audit_ = audit(p, a);
     EXPECT_EQ(audit_.overlapsBetweenNets, 0) << "seed " << seed;
@@ -87,7 +87,7 @@ TEST(LrSolver, RespectsIterationBound) {
   LrOptions opts;
   opts.maxIterations = 5;
   LrStats stats;
-  const Assignment a = solveLr(p, opts, &stats);
+  const Assignment a = solveLr(tu::kernelOf(p), opts, &stats);
   EXPECT_LE(stats.iterations, 5);
   EXPECT_EQ(a.violations, 0);  // conflict removal still cleans up
 }
@@ -99,7 +99,7 @@ TEST(LrSolver, SkipConflictRemovalMayLeaveViolations) {
   LrOptions opts;
   opts.maxIterations = 1;
   opts.skipConflictRemoval = true;
-  const Assignment a = solveLr(p, opts);
+  const Assignment a = solveLr(tu::kernelOf(p), opts);
   const AssignmentAudit audit_ = audit(p, a);
   EXPECT_EQ(audit_.unassignedPins, 0);  // every pin still assigned
   // violations is the count under the conflict-set definition; the direct
@@ -112,7 +112,7 @@ TEST(LrSolver, BidirectionalMultipliersStayValid) {
   const Problem p = tu::panelProblem(d);
   LrOptions opts;
   opts.bidirectionalMultipliers = true;
-  const Assignment a = solveLr(p, opts);
+  const Assignment a = solveLr(tu::kernelOf(p), opts);
   EXPECT_EQ(a.violations, 0);
   EXPECT_EQ(audit(p, a).overlapsBetweenNets, 0);
 }
@@ -121,7 +121,7 @@ TEST(LrSolver, ObjectiveImprovesOnAllMinimalBaseline) {
   // On a sparse panel LR should beat the trivial all-minimal solution.
   const db::Design d = tu::tinyDesign(11, 60, 0.15);
   const Problem p = tu::panelProblem(d);
-  const Assignment a = solveLr(p);
+  const Assignment a = solveLr(tu::kernelOf(p));
   EXPECT_GT(a.objective, tu::minimalProfitBound(p) + 1e-6);
 }
 
@@ -132,7 +132,7 @@ class LrProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(LrProperty, AlwaysLegal) {
   const db::Design d = tu::tinyDesign(GetParam(), 64, 0.55);
   const Problem p = tu::panelProblem(d);
-  const Assignment a = solveLr(p);
+  const Assignment a = solveLr(tu::kernelOf(p));
   EXPECT_EQ(a.violations, 0);
   const AssignmentAudit audit_ = audit(p, a);
   EXPECT_EQ(audit_.overlapsBetweenNets, 0);

@@ -3,10 +3,13 @@
 /// panels the flat view must round-trip every adjacency of the nested
 /// `Problem` in the exact same order, the flat `audit` must agree with the
 /// nested ground truth, and scratch-arena reuse must not change any solver
-/// result. Boundary tests pin down `rowSpan` behavior at the edges of the
-/// offset arrays (last row, empty panel, single-candidate panel).
+/// result. An ownership test checks that a kernel outlives the `Problem` it
+/// was compiled from. Boundary tests pin down `rowSpan` behavior at the
+/// edges of the offset arrays (last row, empty panel, single-candidate
+/// panel).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -54,7 +57,7 @@ TEST_P(PanelKernelProperty, CompileRoundTripsEveryAdjacency) {
   const db::Design d = randomDesign(GetParam());
   for (int panel = 0; panel < 2; ++panel) {
     const Problem p = panelProblem(d, panel);
-    const PanelKernel k = PanelKernel::compile(Problem(p));
+    const PanelKernel k = PanelKernel::compile(p);
 
     ASSERT_EQ(k.numPins(), p.pins.size());
     ASSERT_EQ(k.numIntervals(), p.intervals.size());
@@ -116,7 +119,7 @@ TEST_P(PanelKernelProperty, CompileRoundTripsEveryAdjacency) {
 TEST_P(PanelKernelProperty, FlatAuditMatchesNestedAudit) {
   const db::Design d = randomDesign(GetParam());
   const Problem p = panelProblem(d, 0);
-  const PanelKernel k = PanelKernel::compile(Problem(p));
+  const PanelKernel k = PanelKernel::compile(p);
 
   // Audit both a legal assignment and randomly perturbed (possibly illegal,
   // possibly partial) ones: the flat audit must agree on all of them.
@@ -149,7 +152,7 @@ TEST_P(PanelKernelProperty, ScratchReuseDoesNotChangeResults) {
   PanelScratch arena;
   for (int panel = 0; panel < 2; ++panel) {
     const Problem p = panelProblem(d, panel);
-    const PanelKernel k = PanelKernel::compile(Problem(p));
+    const PanelKernel k = PanelKernel::compile(p);
     for (const auto& solver :
          {std::unique_ptr<Solver>(std::make_unique<LrSolver>()),
           std::unique_ptr<Solver>(std::make_unique<ExactSolver>())}) {
@@ -170,6 +173,45 @@ TEST_P(PanelKernelProperty, ScratchReuseDoesNotChangeResults) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PanelKernelProperty,
                          ::testing::Range<std::uint64_t>(300, 310));
+
+// ---- ownership -------------------------------------------------------------
+
+TEST(PanelKernelOwnership, KernelOutlivesTheProblemItWasCompiledFrom) {
+  // The kernel keeps nothing of its `Problem`: a kernel compiled from an
+  // instance that is destroyed before any solve must behave exactly like one
+  // compiled from a live copy. A kernel that borrowed from its `Problem`
+  // would read freed memory here, which the ASan build reports.
+  gen::GenOptions o;
+  o.seed = 23;
+  o.width = 48;
+  o.numRows = 1;
+  o.pinDensity = 0.15;
+  o.maxNetSpan = 20;
+  o.maxNetRowSpread = 0;
+  const Problem live = panelProblem(gen::generate(o), 0);
+  const PanelKernel fromLive = PanelKernel::compile(live);
+  PanelKernel orphan;
+  {
+    auto doomed = std::make_unique<Problem>(live);
+    orphan = PanelKernel::compile(*doomed);
+  }
+  ASSERT_GT(orphan.numConflicts(), 0u);
+  EXPECT_EQ(orphan.footprintBytes(), fromLive.footprintBytes());
+
+  for (const Method method : {Method::Lr, Method::Exact, Method::Ilp}) {
+    SolverOptions opts;
+    opts.method = method;
+    const std::unique_ptr<Solver> solver = makeSolver(opts);
+    const Assignment a = solver->solve(orphan, nullptr, nullptr,
+                                       support::Deadline::after(10.0));
+    const Assignment b = solver->solve(fromLive, nullptr, nullptr,
+                                       support::Deadline::after(10.0));
+    EXPECT_EQ(a.intervalOfPin, b.intervalOfPin) << solver->name();
+    EXPECT_EQ(a.objective, b.objective) << solver->name();
+    EXPECT_EQ(a.violations, b.violations) << solver->name();
+    EXPECT_EQ(a.provedOptimal, b.provedOptimal) << solver->name();
+  }
+}
 
 // ---- rowSpan boundary behavior -------------------------------------------
 
@@ -203,7 +245,7 @@ TEST(PanelKernelBoundary, SingleCandidatePanelRoundTrips) {
   p.pins.push_back(pin);
   p.profit = {1.5};
 
-  const PanelKernel k = PanelKernel::compile(std::move(p));
+  const PanelKernel k = PanelKernel::compile(p);
   ASSERT_EQ(k.numPins(), 1u);
   ASSERT_EQ(k.numIntervals(), 1u);
   const PinIdx j{std::size_t{0}};
@@ -225,7 +267,7 @@ TEST(PanelKernelBoundary, LastRowSpanEndsExactlyAtDataEnd) {
   // pair; its end iterator must land exactly on the end of the flat data.
   const db::Design d = randomDesign(1234);
   const Problem p = panelProblem(d, 0);
-  const PanelKernel k = PanelKernel::compile(Problem(p));
+  const PanelKernel k = PanelKernel::compile(p);
   ASSERT_GT(k.numPins(), 0u);
   ASSERT_GT(k.numIntervals(), 0u);
   ASSERT_GT(k.numConflicts(), 0u);

@@ -56,8 +56,8 @@ TEST(Reexpand, RecoversLengthOnAlternateTrack) {
   with.reexpandRounds = 2;
   LrOptions without;
   without.reexpandRounds = 0;
-  const Assignment base = solveLr(p, without);
-  const Assignment refined = solveLr(p, with);
+  const Assignment base = solveLr(tu::kernelOf(p), without);
+  const Assignment refined = solveLr(tu::kernelOf(p), with);
   EXPECT_GE(refined.objective, base.objective);
   // The refined solution must give both pins long intervals: pin 0 escapes
   // to track 1 (id 2), pin 1 keeps its long interval (id 3).
@@ -74,8 +74,8 @@ TEST(Reexpand, NeverWorsensAndStaysLegal) {
     with.reexpandRounds = 3;
     LrOptions without;
     without.reexpandRounds = 0;
-    const Assignment base = solveLr(p, without);
-    const Assignment refined = solveLr(p, with);
+    const Assignment base = solveLr(tu::kernelOf(p), without);
+    const Assignment refined = solveLr(tu::kernelOf(p), with);
     EXPECT_GE(refined.objective, base.objective - 1e-9) << "seed " << seed;
     EXPECT_EQ(refined.violations, 0) << "seed " << seed;
     const AssignmentAudit audit_ = audit(p, refined);
@@ -92,7 +92,7 @@ TEST(Reexpand, PreservesIlpEqualitySemantics) {
   for (std::uint64_t seed = 320; seed < 330; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 48, 0.45);
     const Problem p = tu::panelProblem(d);
-    const Assignment a = solveLr(p);
+    const Assignment a = solveLr(tu::kernelOf(p));
     std::vector<char> selected(p.intervals.size(), 0);
     for (Index i : a.intervalOfPin) {
       if (i != geom::kInvalidIndex) selected[static_cast<std::size_t>(i)] = 1;
@@ -117,7 +117,7 @@ TEST(Reexpand, StaysAtOrBelowExactOptimum) {
     const Problem p = tu::panelProblem(d, g);
     const std::optional<double> ref = tu::bruteForceOptimum(p);
     if (!ref) continue;
-    const Assignment lr = solveLr(p);
+    const Assignment lr = solveLr(tu::kernelOf(p));
     EXPECT_LE(lr.objective, *ref + 1e-6) << "seed " << seed;
   }
 }

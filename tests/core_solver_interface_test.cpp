@@ -10,9 +10,12 @@
 #include "db/panel.h"
 #include "gen/generator.h"
 #include "obs/names.h"
+#include "test_util.h"
 
 namespace cpr::core {
 namespace {
+
+using testutil::kernelOf;
 
 Problem makeProblem(std::uint64_t seed = 17) {
   gen::GenOptions o;
@@ -37,18 +40,18 @@ void expectSameAssignment(const Assignment& a, const Assignment& b) {
 }
 
 TEST(SolverInterface, LrMatchesFreeFunction) {
-  const Problem p = makeProblem();
-  const Assignment direct = solveLr(p);
-  const Assignment viaIface = LrSolver{{}}.solve(p);
+  const PanelKernel k = kernelOf(makeProblem());
+  const Assignment direct = solveLr(k);
+  const Assignment viaIface = LrSolver{{}}.solve(k);
   expectSameAssignment(direct, viaIface);
 }
 
 TEST(SolverInterface, ExactMatchesFreeFunction) {
-  const Problem p = makeProblem(19);
+  const PanelKernel k = kernelOf(makeProblem(19));
   ExactOptions eo;
   eo.deadline = support::Deadline::after(10.0);
-  const Assignment direct = solveExact(p, eo);
-  const Assignment viaIface = ExactSolver{eo}.solve(p);
+  const Assignment direct = solveExact(k, eo);
+  const Assignment viaIface = ExactSolver{eo}.solve(k);
   expectSameAssignment(direct, viaIface);
   EXPECT_TRUE(viaIface.provedOptimal);
 }
@@ -75,12 +78,13 @@ TEST(SolverInterface, AllThreeSolversAgreeOnObjective) {
   const db::Design d = gen::generate(o);
   Problem p = buildProblem(d, db::extractPanel(d, 0), {});
   detectConflicts(p);
+  const PanelKernel k = kernelOf(p);
 
   ExactOptions eo;
   eo.deadline = support::Deadline::after(10.0);
-  const Assignment lr = LrSolver{{}}.solve(p);
-  const Assignment exact = ExactSolver{eo}.solve(p);
-  const Assignment ilp = IlpSolver{{}}.solve(p);
+  const Assignment lr = LrSolver{{}}.solve(k);
+  const Assignment exact = ExactSolver{eo}.solve(k);
+  const Assignment ilp = IlpSolver{{}}.solve(k);
   ASSERT_TRUE(exact.provedOptimal);
   ASSERT_TRUE(ilp.provedOptimal);
   EXPECT_NEAR(exact.objective, ilp.objective, 1e-6);
@@ -88,16 +92,16 @@ TEST(SolverInterface, AllThreeSolversAgreeOnObjective) {
 }
 
 TEST(SolverInterface, SolversEmitCanonicalCounters) {
-  const Problem p = makeProblem(29);
+  const PanelKernel k = kernelOf(makeProblem(29));
   obs::Collector lrObs;
-  (void)LrSolver{{}}.solve(p, &lrObs);
+  (void)LrSolver{{}}.solve(k, nullptr, &lrObs);
   EXPECT_GT(lrObs.counter(obs::names::kLrIterations), 0);
   EXPECT_FALSE(lrObs.series().empty());
 
   obs::Collector exObs;
   ExactOptions eo;
   eo.deadline = support::Deadline::after(10.0);
-  (void)ExactSolver{eo}.solve(p, &exObs);
+  (void)ExactSolver{eo}.solve(k, nullptr, &exObs);
   EXPECT_GT(exObs.counter(obs::names::kExactNodes), 0);
 
   obs::Collector ilpObs;
@@ -111,7 +115,7 @@ TEST(SolverInterface, SolversEmitCanonicalCounters) {
   const db::Design d = gen::generate(small);
   Problem tiny = buildProblem(d, db::extractPanel(d, 0), {});
   detectConflicts(tiny);
-  (void)IlpSolver{{}}.solve(tiny, &ilpObs);
+  (void)IlpSolver{{}}.solve(kernelOf(tiny), nullptr, &ilpObs);
   EXPECT_GT(ilpObs.counter(obs::names::kIlpNodes), 0);
   EXPECT_GT(ilpObs.counter(obs::names::kIlpPivots), 0);
 }
@@ -145,34 +149,6 @@ TEST(SolverInterface, OptimizerHonorsCustomSolverOverride) {
             "exact");
 }
 
-TEST(SolverInterface, KernelOverloadMatchesProblemOverload) {
-  // The kernel-first entry point and the Problem convenience overload must
-  // produce identical assignments for every solver behind the interface.
-  gen::GenOptions o;
-  o.seed = 23;
-  o.width = 48;
-  o.numRows = 1;
-  o.pinDensity = 0.15;
-  o.maxNetSpan = 20;
-  o.maxNetRowSpread = 0;
-  const db::Design d = gen::generate(o);
-  Problem p = buildProblem(d, db::extractPanel(d, 0), {});
-  detectConflicts(p);
-  const PanelKernel k = PanelKernel::compile(Problem(p));
-
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
-  const std::unique_ptr<Solver> solvers[] = {
-      makeSolver({.method = Method::Lr}),
-      makeSolver({.method = Method::Exact, .exact = eo}),
-      makeSolver({.method = Method::Ilp})};
-  for (const auto& s : solvers) {
-    const Assignment viaProblem = s->solve(p);
-    const Assignment viaKernel = s->solve(k);
-    expectSameAssignment(viaProblem, viaKernel);
-  }
-}
-
 // Golden objectives captured from the nested (pre-CSR) solver paths at
 // %.17g precision. The CSR kernel preserves iteration and floating-point
 // order exactly, so these must keep matching to the last bit.
@@ -187,11 +163,11 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
   ExactOptions eo;
   eo.deadline = support::Deadline::after(10.0);
   for (const Golden& g : goldens) {
-    const Problem p = makeProblem(g.seed);
-    const Assignment lr = solveLr(p);
+    const PanelKernel k = kernelOf(makeProblem(g.seed));
+    const Assignment lr = solveLr(k);
     EXPECT_DOUBLE_EQ(lr.objective, g.objective) << "lr seed " << g.seed;
     EXPECT_EQ(lr.violations, 0);
-    const Assignment exact = solveExact(p, eo);
+    const Assignment exact = solveExact(k, eo);
     EXPECT_DOUBLE_EQ(exact.objective, g.objective) << "exact seed " << g.seed;
     EXPECT_TRUE(exact.provedOptimal);
   }
@@ -206,10 +182,11 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
   const db::Design d = gen::generate(o);
   Problem tiny = buildProblem(d, db::extractPanel(d, 0), {});
   detectConflicts(tiny);
+  const PanelKernel tk = kernelOf(tiny);
   constexpr double kTinyGolden = 18.481436464210109;
-  EXPECT_DOUBLE_EQ(LrSolver{{}}.solve(tiny).objective, kTinyGolden);
-  EXPECT_DOUBLE_EQ(ExactSolver{eo}.solve(tiny).objective, kTinyGolden);
-  EXPECT_DOUBLE_EQ(IlpSolver{{}}.solve(tiny).objective, kTinyGolden);
+  EXPECT_DOUBLE_EQ(LrSolver{{}}.solve(tk).objective, kTinyGolden);
+  EXPECT_DOUBLE_EQ(ExactSolver{eo}.solve(tk).objective, kTinyGolden);
+  EXPECT_DOUBLE_EQ(IlpSolver{{}}.solve(tk).objective, kTinyGolden);
 }
 
 // Design-level plan goldens (LR method, pinned objective + FNV-1a route

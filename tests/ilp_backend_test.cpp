@@ -1,47 +1,54 @@
-/// Golden LP suite for the `LpBackend` seam (ilp/lp_backend.h): both
-/// registered engines — the dense two-phase reference and the revised
-/// simplex — must agree on status and objective across known-optimum,
-/// infeasible, degenerate, and randomly generated relaxations, with and
-/// without branch & bound fixings; and warm-started re-solves must match
-/// cold solves exactly while doing no more pivot work.
+/// Golden LP suite for the `LpBackend` interface (ilp/lp_backend.h): the
+/// production revised simplex and the dense two-phase reference oracle
+/// (tests/lp_oracle) must agree on status and objective across
+/// known-optimum, infeasible, degenerate, and randomly generated
+/// relaxations, with and without branch & bound fixings; and warm-started
+/// re-solves must match cold solves exactly while doing no more pivot work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <random>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "ilp/branch_and_bound.h"
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
+#include "ilp/revised_simplex.h"
+#include "lp_oracle/simplex.h"
 
 namespace cpr::ilp {
 namespace {
 
-LpResult run(const Model& m, const std::string& backend,
+/// One engine under test: a label for test output and its constructor.
+struct Engine {
+  const char* label;
+  std::unique_ptr<LpBackend> (*make)();
+};
+
+void PrintTo(const Engine& e, std::ostream* os) { *os << e.label; }
+
+const Engine kDense{"dense", [] {
+                      return std::unique_ptr<LpBackend>(
+                          std::make_unique<DenseSimplexBackend>());
+                    }};
+const Engine kRevised{"revised", [] {
+                        return std::unique_ptr<LpBackend>(
+                            std::make_unique<RevisedSimplexBackend>());
+                      }};
+
+LpResult run(const Model& m, const Engine& engine,
              const Fixing* fix = nullptr) {
-  const std::unique_ptr<LpBackend> be = makeLpBackend(backend);
+  const std::unique_ptr<LpBackend> be = engine.make();
   be->bind(m, LpOptions{});
   return be->solve(fix);
 }
 
-TEST(LpBackendFactory, RegistersBothEnginesAndRejectsUnknownNames) {
-  EXPECT_EQ(makeLpBackend("revised")->name(), "revised");
-  EXPECT_EQ(makeLpBackend("dense")->name(), "dense");
-  EXPECT_THROW((void)makeLpBackend("cplex"), std::invalid_argument);
-  const auto& names = lpBackendNames();
-  ASSERT_EQ(names.size(), 2u);
-  // The preference order's head is the LpOptions default: the engine every
-  // caller gets unless it asks for another by name.
-  EXPECT_EQ(LpOptions{}.backend, names.front());
-}
-
 // ------------------------------------------------- golden suite ---------
 
-class GoldenSuite : public ::testing::TestWithParam<const char*> {};
+class GoldenSuite : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(GoldenSuite, UnconstrainedBinariesSaturate) {
   Model m;
@@ -153,7 +160,7 @@ TEST_P(GoldenSuite, FixingCanCreateInfeasibility) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, GoldenSuite,
-                         ::testing::Values("dense", "revised"));
+                         ::testing::Values(kDense, kRevised));
 
 // ------------------------------------- cross-engine random sweep --------
 
@@ -197,8 +204,8 @@ TEST_P(EngineAgreement, StatusAndObjectiveMatchOnRandomModels) {
       }
     }
     const Fixing* fp = anyFixed ? &fix : nullptr;
-    const LpResult dense = run(m, "dense", fp);
-    const LpResult revised = run(m, "revised", fp);
+    const LpResult dense = run(m, kDense, fp);
+    const LpResult revised = run(m, kRevised, fp);
     ASSERT_EQ(dense.status, revised.status)
         << "seed " << GetParam() << " round " << round;
     if (dense.status == LpStatus::Optimal) {
@@ -227,10 +234,10 @@ TEST(LpBackendWarmStart, ChildResolveFromParentBasisMatchesColdSolve) {
   m.addConstraint({{2, 1.0}, {3, 1.0}, {4, 1.0}}, Sense::LessEqual, 2.0);
   m.addConstraint({{1, 1.0}, {4, 1.0}, {5, 1.0}}, Sense::Equal, 1.0);
 
-  const std::unique_ptr<LpBackend> warmEngine = makeLpBackend("revised");
-  warmEngine->bind(m, LpOptions{});
+  RevisedSimplexBackend warmEngine;
+  warmEngine.bind(m, LpOptions{});
   LpBasis parent;
-  const LpResult root = warmEngine->solve(nullptr, nullptr, &parent);
+  const LpResult root = warmEngine.solve(nullptr, nullptr, &parent, {});
   ASSERT_EQ(root.status, LpStatus::Optimal);
   EXPECT_FALSE(root.warmStarted);
   ASSERT_FALSE(parent.empty());
@@ -241,8 +248,8 @@ TEST(LpBackendWarmStart, ChildResolveFromParentBasisMatchesColdSolve) {
     if (dive[v] < 0) continue;
     fix[static_cast<std::size_t>(v)] = dive[v];
     LpBasis child;
-    const LpResult warm = warmEngine->solve(&fix, &parent, &child);
-    const LpResult cold = run(m, "revised", &fix);
+    const LpResult warm = warmEngine.solve(&fix, &parent, &child, {});
+    const LpResult cold = run(m, kRevised, &fix);
     ASSERT_EQ(warm.status, cold.status) << "fixing var " << v;
     if (warm.status != LpStatus::Optimal) break;
     EXPECT_TRUE(warm.warmStarted) << "fixing var " << v;
@@ -268,7 +275,6 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   m.addConstraint({{1, 1.0}, {4, 1.0}, {7, 1.0}}, Sense::LessEqual, 1.0);
 
   IlpOptions warmOpts;
-  warmOpts.lp.backend = "revised";
   IlpOptions coldOpts = warmOpts;
   coldOpts.lp.warmStart = false;
 
@@ -277,7 +283,6 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   ASSERT_EQ(warm.status, IlpStatus::Optimal);
   ASSERT_EQ(cold.status, IlpStatus::Optimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  EXPECT_EQ(warm.backend, "revised");
   EXPECT_GT(warm.nodesExplored, 1);
   EXPECT_GT(warm.lpWarmSolves, 0);
   EXPECT_EQ(cold.lpWarmSolves, 0);
@@ -285,11 +290,9 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   EXPECT_LE(warm.lpPivots, cold.lpPivots);
 }
 
-// --------------------------------------- branch & bound per engine ------
+// ---------------------------------------------- branch & bound ---------
 
-class BnbEngines : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(BnbEngines, MatchesBruteForceOnRandomModels) {
+TEST(BranchAndBound, MatchesBruteForceOnRandomModels) {
   std::mt19937 rng(777u);
   std::uniform_int_distribution<int> nDist(2, 6);
   std::uniform_int_distribution<int> cDist(-4, 6);
@@ -318,17 +321,16 @@ TEST_P(BnbEngines, MatchesBruteForceOnRandomModels) {
       if (m.feasible(x)) best = std::max(best, m.evaluate(x));
     }
 
-    IlpOptions opts;
-    opts.lp.backend = GetParam();
-    const IlpResult r = solveBinaryIlp(m, opts);
+    const IlpResult r = solveBinaryIlp(m);
     ASSERT_EQ(r.status, IlpStatus::Optimal) << "round " << round;
     EXPECT_NEAR(r.objective, best, 1e-6) << "round " << round;
-    EXPECT_EQ(r.backend, GetParam());
+    // The same search over the dense oracle, as bench_lp_backend runs it.
+    DenseSimplexBackend dense;
+    const IlpResult d = solveBinaryIlp(m, {}, dense);
+    ASSERT_EQ(d.status, IlpStatus::Optimal) << "round " << round;
+    EXPECT_NEAR(d.objective, best, 1e-6) << "round " << round;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, BnbEngines,
-                         ::testing::Values("dense", "revised"));
 
 }  // namespace
 }  // namespace cpr::ilp

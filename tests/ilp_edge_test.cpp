@@ -6,7 +6,7 @@
 #include <random>
 
 #include "ilp/branch_and_bound.h"
-#include "ilp/simplex.h"
+#include "lp_oracle/simplex.h"
 
 namespace cpr::ilp {
 namespace {
@@ -62,11 +62,9 @@ TEST(SimplexEdge, ImplicitUnitBoundsMatchExplicitOnPartitioning) {
     m.addConstraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::Equal, 1.0);
     m.addConstraint({{3, 1.0}, {4, 1.0}, {5, 1.0}}, Sense::Equal, 1.0);
     m.addConstraint({{1, 1.0}, {4, 1.0}}, Sense::LessEqual, 1.0);
-    LpOptions with;
-    LpOptions without;
-    without.implicitUnitBounds = true;
-    const LpResult a = solveLp(m, with);
-    const LpResult b = solveLp(m, without);
+    const LpResult a = solveLp(m);
+    const LpResult b =
+        solveLp(m, {}, nullptr, {}, /*implicitUnitBounds=*/true);
     ASSERT_EQ(a.status, LpStatus::Optimal);
     ASSERT_EQ(b.status, LpStatus::Optimal);
     EXPECT_NEAR(a.objective, b.objective, 1e-6) << "round " << round;

@@ -3,7 +3,7 @@
 #include <random>
 
 #include "ilp/model.h"
-#include "ilp/simplex.h"
+#include "lp_oracle/simplex.h"
 
 namespace cpr::ilp {
 namespace {

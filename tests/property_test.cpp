@@ -12,6 +12,7 @@
 #include "db/panel.h"
 #include "gen/generator.h"
 #include "route/engine.h"
+#include "test_util.h"
 
 namespace cpr {
 namespace {
@@ -66,10 +67,11 @@ TEST_P(DesignProperty, SolversProduceLegalComparableSolutions) {
   core::Problem p = core::buildProblem(d, db::extractPanel(d, 0));
   core::detectConflicts(p);
 
-  const core::Assignment lr = core::solveLr(p);
+  const core::PanelKernel k = core::testutil::kernelOf(p);
+  const core::Assignment lr = core::solveLr(k);
   core::ExactOptions eo;
   eo.deadline = support::Deadline::after(5.0);
-  const core::Assignment exact = core::solveExact(p, eo);
+  const core::Assignment exact = core::solveExact(k, eo);
 
   for (const core::Assignment* a : {&lr, &exact}) {
     EXPECT_EQ(a->violations, 0);

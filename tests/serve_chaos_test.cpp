@@ -63,7 +63,6 @@ std::uint64_t mix(std::uint64_t x) {
 /// this harness is checking.
 class ChaosSolver final : public core::Solver {
  public:
-  using Solver::solve;
   [[nodiscard]] std::string_view name() const override { return "chaos"; }
   [[nodiscard]] core::Assignment solve(
       const core::PanelKernel& k, core::PanelScratch* scratch,

@@ -80,7 +80,7 @@ TEST(ContractsDeathTest, KernelCsrIndexOutOfRangeIsCaughtInDebugBuilds) {
   // lookup is out of range and must trip the CSR bounds contract.
   cpr::core::Problem p;
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernel::compile(std::move(p));
+      cpr::core::PanelKernel::compile(p);
   ASSERT_EQ(k.numPins(), 0u);
   EXPECT_DEATH(static_cast<void>(k.candidatesOf(cpr::core::PinIdx{0})),
                "CPR_DCHECK failed");
@@ -91,7 +91,6 @@ TEST(ContractsDeathTest, KernelCsrIndexOutOfRangeIsCaughtInDebugBuilds) {
 /// corruption detected mid-solve in an NDEBUG build.
 class ViolatingSolver final : public cpr::core::Solver {
  public:
-  using Solver::solve;
   [[nodiscard]] std::string_view name() const override { return "violating"; }
   [[nodiscard]] cpr::core::Assignment solve(
       const cpr::core::PanelKernel& /*k*/,
@@ -106,7 +105,7 @@ class ViolatingSolver final : public cpr::core::Solver {
 TEST(Contracts, ViolationIsStatusReturningAtTheTrySolveBoundary) {
   cpr::core::Problem p;
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernel::compile(std::move(p));
+      cpr::core::PanelKernel::compile(p);
   const ViolatingSolver s;
   const cpr::support::Outcome<cpr::core::Assignment> out = s.trySolve(k);
   EXPECT_EQ(out.code(), cpr::support::StatusCode::Failed);

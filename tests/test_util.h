@@ -1,6 +1,7 @@
 /// \file test_util.h
-/// Shared helpers for core solver tests: tiny random instances and an
-/// exhaustive reference solver for the weighted interval assignment ILP.
+/// Shared helpers for core solver tests: tiny random instances, the kernel
+/// compile step the solvers take their input from, and an exhaustive
+/// reference solver for the weighted interval assignment ILP.
 #pragma once
 
 #include <limits>
@@ -9,6 +10,7 @@
 
 #include "core/conflict.h"
 #include "core/interval_gen.h"
+#include "core/panel_kernel.h"
 #include "db/panel.h"
 #include "gen/generator.h"
 
@@ -35,6 +37,11 @@ inline Problem panelProblem(const db::Design& d, const GenOptions& g = {}) {
   Problem p = buildProblem(d, db::extractPanel(d, 0), g);
   detectConflicts(p);
   return p;
+}
+
+/// Compiles `p` into the kernel every solver entry point consumes.
+inline PanelKernel kernelOf(const Problem& p) {
+  return PanelKernel::compile(p);
 }
 
 /// Exhaustive optimum of Formula (1) by enumerating every per-pin choice

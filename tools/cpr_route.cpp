@@ -7,7 +7,6 @@
 ///   cpr_route --def my.def                       # or load a DEF subset
 ///   cpr_route --design ecc --scheme nopao        # cpr | nopao | seq
 ///   cpr_route --design ecc --pin-access ilp      # lr | ilp | generic
-///   cpr_route --design ecc --pin-access generic --lp-backend dense
 ///   cpr_route --design ecc --threads 4 --report run.json --trace run.trace.json
 ///   cpr_route --design ecc --svg out.svg --routed-def out.def --seed 9
 ///   cpr_route --def big.def --time-limit 30 --panel-budget 0.5
@@ -15,7 +14,6 @@
 /// Exit codes (see --help): 0 success, 2 usage error, 3 bad input (DEF parse
 /// or design validation failure), 4 completed but degraded (some panels fell
 /// down the degradation ladder), 5 internal error.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -39,7 +37,6 @@ struct Args {
   std::string defPath;
   std::string scheme = "cpr";
   std::string pinAccess = "lr";
-  std::string lpBackend;  ///< empty = ilp::LpOptions default
   std::string svgPath;
   std::string routedDefPath;
   std::string reportPath;
@@ -81,11 +78,6 @@ int main(int argc, char** argv) {
                 "ilp (exact branch & bound, the paper's ILP), generic "
                 "(Formula (1) through the generic 0/1 ILP; slow)",
                 &args.pinAccess);
-  parser.option("--lp-backend", "revised|dense",
-                "LP engine for --pin-access generic: revised (sparse revised "
-                "simplex with warm-started branch & bound, the default) or "
-                "dense (two-phase tableau reference)",
-                &args.lpBackend);
   parser.option("--threads", "n",
                 "worker threads for pin access panels and wave-parallel "
                 "routing (default: hardware; results are thread-count "
@@ -187,17 +179,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown --pin-access %s\n",
                      args.pinAccess.c_str());
         return 2;
-      }
-      if (!args.lpBackend.empty()) {
-        const auto& known = ilp::lpBackendNames();
-        if (std::find(known.begin(), known.end(), args.lpBackend) ==
-            known.end()) {
-          std::fprintf(stderr, "unknown --lp-backend %s (want revised|dense)\n",
-                       args.lpBackend.c_str());
-          return 2;
-        }
-        opts.pinAccess.solve.ilp.lp.backend = args.lpBackend;
-        run.note("cli.lp_backend", args.lpBackend);
       }
       run.note("cli.pin_access", args.pinAccess);
       route::CprResult r = route::routeCpr(d, opts);
